@@ -16,9 +16,12 @@ per **decode chunk** instead of per sample:
    bucketed by ``(epoch, kernel_mode, task_id, domain_id)``; each bucket
    is one ascending PC run, resolved by one chain walk
    (:meth:`~repro.pipeline.resolver.ResolverChain.resolve_key_run`) in
-   which the JIT stage answers the whole run with a single batched
-   backward epoch walk over the ``IntervalIndex`` instead of a walk per
-   sample.
+   which the JIT stage answers the whole run with one
+   :meth:`~repro.viprof.codemap.CodeMapIndex.resolve_run`: the epoch
+   window is worked out once per run, then each PC is one
+   O(log S + log V) lookup in the version-segment index (S address
+   segments, V epoch versions of the PC's segment) instead of a
+   backward walk over the maps.
 4. **Bulk replay + aggregate.**  Duplicates are accounted with
    :meth:`~repro.pipeline.resolver.ResolverChain.replay_bulk` and folded
    into the aggregate with one ``add_counts(..., n)`` per group, iterating

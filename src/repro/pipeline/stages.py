@@ -288,11 +288,11 @@ class JitEpochStage(ResolverStage):
     def resolve_group(
         self, samples: "list[PipelineSample]"
     ) -> list[tuple[ResolvedSample, object | None] | None] | None:
-        """Batched bucket resolve: one epoch walk for the whole ascending
-        PC run (:meth:`~repro.viprof.codemap.CodeMapIndex.resolve_run`)
-        instead of one backward walk per sample.  Counter deltas — stage
-        detail and the codemap index's own — match per-sample resolution
-        exactly."""
+        """Batched bucket resolve: one
+        :meth:`~repro.viprof.codemap.CodeMapIndex.resolve_run` for the
+        whole ascending PC run, so registration and the epoch window are
+        worked out once per run.  Counter deltas — stage detail and the
+        codemap index's own — match per-sample resolution exactly."""
         from repro.viprof.codemap import RESOLVE_BLOCKED
 
         if not samples:

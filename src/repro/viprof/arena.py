@@ -40,7 +40,7 @@ import os
 import struct
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.errors import ArenaError, CodeMapError
 from repro.faults import injector as faults
@@ -506,6 +506,12 @@ class ArenaCodeMap:
             self._rows[i] = rec
         return rec
 
+    def spans(self) -> Iterator[tuple[int, int]]:
+        """``(start, end)`` of every row, read straight off the columns."""
+        return zip(self._table._starts, self._table._ends)
+
+    record_at = _row
+
     def lookup(self, addr: int) -> CodeMapRecord | None:
         i = self._table.first_covering(addr)
         return self._row(i) if i >= 0 else None
@@ -513,9 +519,9 @@ class ArenaCodeMap:
     def lookup_run(
         self, addrs: Iterable[int]
     ) -> list[CodeMapRecord | None]:
-        """:meth:`lookup` over an ascending run (the columnar bucket
-        shape) — one packed-table probe run, rows materialized once per
-        distinct hit."""
+        """:meth:`lookup` over an ascending run of addresses — one
+        packed-table probe run, rows materialized once per distinct
+        hit."""
         rows = self._rows
         out: list[CodeMapRecord | None] = []
         for i in self._table.first_covering_many(addrs):

@@ -10,7 +10,10 @@ map *e*; on a miss the tools search map *e-1*, *e-2*, ... until the first
 map containing the address.  That guarantees attribution to the most
 recently compiled-or-moved method that occupied the address at the sample's
 time, even though addresses are recycled across epochs by the copying
-collector.
+collector.  :class:`CodeMapIndex` answers that walk without walking: it
+compiles all maps into a version-segment index (elementary address
+segments, each with the ascending epochs whose map covers it), so a lookup
+is two bisects however far back the covering map lies.
 
 Map files are plain text (one record per line: start, size, tier, name),
 matching the flavour of Jikes RVM's own map artifacts::
@@ -27,10 +30,11 @@ without replaying the run.  Readers without the marker see a plain tier.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.errors import CodeMapError
 from repro.faults import injector as faults
@@ -214,6 +218,14 @@ class CodeMap:
     def records(self) -> tuple[CodeMapRecord, ...]:
         return tuple(self._records)
 
+    def spans(self) -> Iterator[tuple[int, int]]:
+        """``(start, end)`` of every record, in row (address) order."""
+        return ((r.address, r.end) for r in self._records)
+
+    def record_at(self, row: int) -> CodeMapRecord:
+        """The record in row ``row`` of :meth:`spans`."""
+        return self._records[row]
+
     def lookup(self, addr: int) -> CodeMapRecord | None:
         iv = self._index.first_covering(addr)
         return iv.payload if iv is not None else None
@@ -221,9 +233,9 @@ class CodeMap:
     def lookup_run(
         self, addrs: Iterable[int]
     ) -> list[CodeMapRecord | None]:
-        """:meth:`lookup` over an ascending run of addresses (the columnar
-        resolver's per-epoch bucket), one interval probe per *distinct
-        covering record* instead of one bisect per address."""
+        """:meth:`lookup` over an ascending run of addresses, one interval
+        probe per *distinct covering record* instead of one bisect per
+        address."""
         return [
             iv.payload if iv is not None else None
             for iv in self._index.first_covering_many(addrs)
@@ -252,8 +264,8 @@ class CodeMap:
 
 
 class _Blocked:
-    """Singleton sentinel: the backward walk hit a quarantined epoch
-    before any map contained the address (see
+    """Singleton sentinel: a quarantined epoch lies between the sample's
+    epoch and any map containing the address (see
     :meth:`CodeMapIndex.resolve`)."""
 
     __slots__ = ()
@@ -268,30 +280,56 @@ RESOLVE_BLOCKED = _Blocked()
 
 
 class CodeMapIndex:
-    """All of a session's maps plus the backward-resolution algorithm.
+    """All of a session's maps plus the §3.2 resolution rule, compiled
+    into a **version-segment index**.
 
-    The backward walk is memoized: once a session's maps are loaded they
-    are immutable, so the walk is a pure function of ``(top epoch, addr,
-    backward)`` and its result — including a miss — can never change.  A
-    bounded LRU memo short-circuits repeat walks for hot PCs, which is
-    most of a profile (``memo_hits`` counts the short-circuits;
-    ``fallback_steps`` counts only real walk steps).
+    **The rule.**  A sample stamped with epoch *e* belongs to the record
+    of the greatest map epoch ``<= e`` whose map covers its PC — the
+    backward walk ``e, e-1, ...`` of the paper.  The walk's upper end,
+    ``top``, is *e* clamped to the newest known epoch (a negative *e*
+    means "newest").
+
+    **The index.**  Every record boundary of every epoch, sorted and
+    deduplicated, cuts the address space into S elementary segments.  No
+    record starts or ends inside a segment, so each map covers a segment
+    entirely or not at all.  Per segment the index keeps the ascending
+    epochs whose map covers it (as ranks into the sorted epoch list) and
+    the covering row, in three flat CSR ``array`` columns: segment
+    offsets, epoch ranks, rows.  Resolving ``(pc, e)`` is one bisect for
+    the segment and one bisect over that segment's V versions for the
+    greatest epoch ``<= top``: O(log S + log V), however many maps the
+    walk would have visited.  The index is compiled lazily on the first
+    resolve, in two passes over the maps' :meth:`CodeMap.spans` (count
+    per segment, then fill), and never changes: loaded maps are
+    immutable.
 
     ``quarantined`` marks epochs whose maps existed but were damaged and
     set aside by salvage (``viprof recover``).  A quarantined epoch is a
     **barrier**: the walk cannot see what the lost map recorded, and the
     copying collector recycles addresses across epochs, so continuing
     past it could silently attribute a PC to an *older* occupant of the
-    address.  The walk therefore returns :data:`RESOLVE_BLOCKED` instead
+    address.  On the index the barrier is the greatest quarantined epoch
+    q in the walk window: a version older than q is out of reach, and a
+    lookup that finds no newer version returns :data:`RESOLVE_BLOCKED`
     — the degraded pipeline counts those samples as unresolved, keeping
     every resolution it *does* make a subset of the undamaged run's
     (property-tested in ``tests/viprof/test_epoch_walk_properties.py``).
-    An epoch absent from both ``maps`` and ``quarantined`` is skipped
-    exactly as before (pre-salvage behaviour is unchanged).
+    Quarantined epochs also count when clamping ``top`` and bounding the
+    window, so a lost newest map cannot make later samples silently
+    consult older maps.  An epoch absent from both ``maps`` and
+    ``quarantined`` is simply skipped.
+
+    Walk counters, equal to what a map-by-map backward walk would count:
+    ``lookups`` is one per resolved address; ``fallback_steps`` is the
+    number of maps the walk would have probed without a hit — the maps
+    above the stop epoch (the hit or the barrier) up to ``top``, or
+    every map in the window on a miss.
     """
 
-    #: Bound on memoized (top, addr, backward) walk results.
-    MEMO_CAPACITY = 1 << 13
+    #: Always 0: the index answers every lookup directly, so no walk is
+    #: ever short-circuited.  Kept for readers of the walk counters, who
+    #: count the walks that ran as ``lookups - memo_hits``.
+    memo_hits = 0
 
     def __init__(
         self,
@@ -306,11 +344,18 @@ class CodeMapIndex:
                 f"epochs {sorted(overlap)} both loaded and quarantined"
             )
         self.lookups = 0
-        self.fallback_steps = 0  # how far backward searches walked, total
-        self.memo_hits = 0
-        self._memo: "OrderedDict[tuple[int, int, bool], tuple[CodeMapRecord, int] | _Blocked | None]" = (
-            OrderedDict()
-        )
+        self.fallback_steps = 0  # map probes the walk would have missed
+        self._epochs = sorted(maps)
+        self._barriers = sorted(self.quarantined)
+        known = self._epochs + self._barriers
+        self._known_top = max(known, default=0)
+        self._known_bottom = min(known, default=0)
+        # The version-segment index (see _compile), built on first use.
+        self._bounds: array | None = None
+        self._seg_off = array("q")
+        self._ranks = array("i")
+        self._rows = array("i")
+        self._by_rank: list[CodeMap] = []
 
     @classmethod
     def load_dir(
@@ -334,7 +379,7 @@ class CodeMapIndex:
           --check`` use this to prove the fast path was actually taken).
 
         Quarantined sessions always use the text path: salvage deletes
-        the arena, and the barrier walk is the well-tested authority on
+        the arena, and the text maps are the well-tested authority on
         damaged sessions.
         """
         map_dir = Path(map_dir)
@@ -370,7 +415,7 @@ class CodeMapIndex:
 
     @property
     def epochs(self) -> tuple[int, ...]:
-        return tuple(sorted(self._maps))
+        return tuple(self._epochs)
 
     def map_for(self, epoch: int) -> CodeMap | None:
         return self._maps.get(epoch)
@@ -380,149 +425,133 @@ class CodeMapIndex:
     ) -> tuple[CodeMapRecord, int] | _Blocked | None:
         """Resolve ``addr`` for a sample taken during ``epoch``.
 
-        Searches the sample's epoch first, then walks strictly backwards.
-        Returns ``(record, epoch_found)`` or None when no map ever held the
-        address (e.g. the method was compiled after the last map write and
-        the final flush is missing).
+        Returns ``(record, epoch_found)`` for the greatest epoch ``<=
+        top`` whose map covers the address, or None when no map ever held
+        it (e.g. the method was compiled after the last map write and the
+        final flush is missing).
 
-        With a non-empty ``quarantined`` set the walk stops at the first
-        quarantined epoch it meets and returns :data:`RESOLVE_BLOCKED`:
-        the damaged map could have held the address, so any hit below the
-        barrier might be a stale occupant.
+        With a non-empty ``quarantined`` set, a quarantined epoch newer
+        than any covering map in the window returns
+        :data:`RESOLVE_BLOCKED`: the damaged map could have held the
+        address, so any older hit might be a stale occupant.
 
-        ``backward=False`` is the ablation: consult only the sample's own
-        epoch map, which loses every sample whose method was compiled or
-        moved in an earlier epoch.
+        ``backward=False`` is the ablation: accept only the sample's own
+        epoch map (``epoch_found == top``), which loses every sample whose
+        method was compiled or moved in an earlier epoch.
         """
-        if self.quarantined:
-            return self._resolve_guarded(epoch, addr, backward)
-        if not self._maps:
+        if not self._maps and not self.quarantined:
             return None
         self.lookups += 1
-        top = min(epoch, max(self._maps)) if epoch >= 0 else max(self._maps)
-        key = (top, addr, backward)
-        memo = self._memo
-        if key in memo:
-            self.memo_hits += 1
-            memo.move_to_end(key)
-            return memo[key]
-        result: tuple[CodeMapRecord, int] | None = None
-        bottom = top if not backward else min(self._maps)
-        for e in range(top, bottom - 1, -1):
-            cm = self._maps.get(e)
-            if cm is None:
-                continue
-            rec = cm.lookup(addr)
-            if rec is not None:
-                result = (rec, e)
-                break
-            self.fallback_steps += 1
-        memo[key] = result
-        if len(memo) > self.MEMO_CAPACITY:
-            memo.popitem(last=False)
-        return result
+        rank_top, floor, miss, miss_steps = self._window(epoch, backward)
+        return self._lookup(addr, rank_top, floor, miss, miss_steps)
 
     def resolve_run(
         self, epoch: int, addrs: Iterable[int], backward: bool = True
     ) -> list[tuple[CodeMapRecord, int] | _Blocked | None]:
-        """Batched :meth:`resolve` for an **ascending** run of addresses
-        sharing one sample epoch (the columnar resolver's bucket shape).
+        """:meth:`resolve` for a run of addresses sharing one sample epoch
+        (the columnar resolver's bucket shape): the walk window is worked
+        out once, then each address is one index lookup.  Results and
+        counters equal one :meth:`resolve` per address."""
+        if not self._maps and not self.quarantined:
+            return [None for _ in addrs]
+        rank_top, floor, miss, miss_steps = self._window(epoch, backward)
+        lookup = self._lookup
+        out = [lookup(a, rank_top, floor, miss, miss_steps) for a in addrs]
+        self.lookups += len(out)
+        return out
 
-        Walks the epochs once for the whole run — each visited map is
-        probed with one :meth:`CodeMap.lookup_run` over the still-pending
-        addresses — instead of restarting the backward walk per address.
-        Results, the memo contents, and every counter (``lookups``,
-        ``memo_hits``, ``fallback_steps``) are identical to calling
-        :meth:`resolve` per address.
+    def _window(
+        self, epoch: int, backward: bool
+    ) -> tuple[int, int, _Blocked | None, int]:
+        """The walk window of a sample epoch, in epoch ranks:
+        ``(rank_top, floor, miss, miss_steps)``.
+
+        ``rank_top`` is the rank of the greatest map epoch ``<= top`` (-1
+        if none).  A version at rank ``r <= rank_top`` is reachable iff
+        ``r >= floor``; the floor is the window's bottom (the oldest
+        known epoch, or ``top`` itself without ``backward``) raised above
+        the greatest quarantined epoch in the window, if any.  A lookup
+        with no reachable version returns ``miss`` — RESOLVE_BLOCKED when
+        a barrier raised the floor, else None — after ``miss_steps`` map
+        probes.
         """
-        if self.quarantined or not self._maps:
-            # Guarded walks stop at per-address barriers; keep the
-            # well-tested scalar path authoritative for salvage mode.
-            return [self.resolve(epoch, a, backward) for a in addrs]
-        addrs = list(addrs)
-        if not addrs:
-            return []
-        self.lookups += len(addrs)
-        top = min(epoch, max(self._maps)) if epoch >= 0 else max(self._maps)
-        memo = self._memo
-        results: list[tuple[CodeMapRecord, int] | _Blocked | None] = (
-            [None] * len(addrs)
-        )
-        pending: list[tuple[int, int]] = []  # (position, addr)
-        for pos, addr in enumerate(addrs):
-            key = (top, addr, backward)
-            if key in memo:
-                self.memo_hits += 1
-                memo.move_to_end(key)
-                results[pos] = memo[key]
-            else:
-                pending.append((pos, addr))
-        bottom = top if not backward else min(self._maps)
-        for e in range(top, bottom - 1, -1):
-            if not pending:
-                break
-            cm = self._maps.get(e)
-            if cm is None:
-                continue
-            found = cm.lookup_run([a for _, a in pending])
-            still: list[tuple[int, int]] = []
-            for (pos, addr), rec in zip(pending, found):
-                if rec is not None:
-                    results[pos] = (rec, e)
-                    self._memo_put((top, addr, backward), (rec, e))
-                else:
-                    self.fallback_steps += 1
-                    still.append((pos, addr))
-            pending = still
-        for pos, addr in pending:
-            self._memo_put((top, addr, backward), None)
-        return results
+        if self._bounds is None:
+            self._compile()
+        epochs = self._epochs
+        top = min(epoch, self._known_top) if epoch >= 0 else self._known_top
+        bottom = self._known_bottom if backward else top
+        rank_top = bisect_right(epochs, top) - 1
+        floor = bisect_left(epochs, bottom)
+        miss = None
+        barriers = self._barriers
+        i = bisect_right(barriers, top) - 1
+        if i >= 0 and barriers[i] >= bottom:
+            floor = bisect_right(epochs, barriers[i])
+            miss = RESOLVE_BLOCKED
+        return rank_top, floor, miss, rank_top + 1 - floor
 
-    def _memo_put(
+    def _lookup(
         self,
-        key: tuple[int, int, bool],
-        result: tuple[CodeMapRecord, int] | _Blocked | None,
-    ) -> None:
-        memo = self._memo
-        memo[key] = result
-        if len(memo) > self.MEMO_CAPACITY:
-            memo.popitem(last=False)
-
-    def _resolve_guarded(
-        self, epoch: int, addr: int, backward: bool
+        addr: int,
+        rank_top: int,
+        floor: int,
+        miss: _Blocked | None,
+        miss_steps: int,
     ) -> tuple[CodeMapRecord, int] | _Blocked | None:
-        """The barrier walk used when some epochs are quarantined.
+        """One index lookup inside a :meth:`_window`: bisect the segment,
+        then its versions for the greatest rank ``<= rank_top``."""
+        bounds = self._bounds
+        k = bisect_right(bounds, addr)  # segment k-1 starts at or before addr
+        if 0 < k < len(bounds):
+            ranks = self._ranks
+            lo = self._seg_off[k - 1]
+            j = bisect_right(ranks, rank_top, lo, self._seg_off[k]) - 1
+            if j >= lo and ranks[j] >= floor:
+                r = ranks[j]
+                self.fallback_steps += rank_top - r
+                return self._by_rank[r].record_at(self._rows[j]), self._epochs[r]
+        self.fallback_steps += miss_steps
+        return miss
 
-        Identical to the plain walk except a quarantined epoch ends the
-        search with :data:`RESOLVE_BLOCKED`, and clamping/bottoming use
-        healthy *and* quarantined epochs (a lost newest map must not make
-        later samples silently consult older maps).
+    def _compile(self) -> None:
+        """Build the version-segment index from every map's spans.
+
+        Two passes over the records, no per-segment lists: the first
+        counts the versions of each segment into the CSR offsets, the
+        second fills the rank and row columns.  Maps are visited in epoch
+        order, so each segment's ranks come out ascending.
         """
-        self.lookups += 1
-        known = self._maps.keys() | self.quarantined
-        known_top = max(known)
-        top = min(epoch, known_top) if epoch >= 0 else known_top
-        key = (top, addr, backward)
-        memo = self._memo
-        if key in memo:
-            self.memo_hits += 1
-            memo.move_to_end(key)
-            return memo[key]
-        result: tuple[CodeMapRecord, int] | _Blocked | None = None
-        bottom = top if not backward else min(known)
-        for e in range(top, bottom - 1, -1):
-            if e in self.quarantined:
-                result = RESOLVE_BLOCKED
-                break
-            cm = self._maps.get(e)
-            if cm is None:
-                continue
-            rec = cm.lookup(addr)
-            if rec is not None:
-                result = (rec, e)
-                break
-            self.fallback_steps += 1
-        memo[key] = result
-        if len(memo) > self.MEMO_CAPACITY:
-            memo.popitem(last=False)
-        return result
+        by_rank = [self._maps[e] for e in self._epochs]
+        cuts = set()
+        for cm in by_rank:
+            for start, end in cm.spans():
+                cuts.add(start)
+                cuts.add(end)
+        bounds = array("q", sorted(cuts))
+        del cuts
+        off = array("q", bytes(8 * max(len(bounds), 1)))
+        for cm in by_rank:
+            for start, end in cm.spans():
+                for k in range(
+                    bisect_left(bounds, start), bisect_left(bounds, end)
+                ):
+                    off[k + 1] += 1
+        for k in range(1, len(off)):
+            off[k] += off[k - 1]
+        ranks = array("i", bytes(4 * off[-1]))
+        rows = array("i", bytes(4 * off[-1]))
+        cursor = array("q", off)
+        for r, cm in enumerate(by_rank):
+            for row, (start, end) in enumerate(cm.spans()):
+                for k in range(
+                    bisect_left(bounds, start), bisect_left(bounds, end)
+                ):
+                    p = cursor[k]
+                    ranks[p] = r
+                    rows[p] = row
+                    cursor[k] = p + 1
+        self._seg_off = off
+        self._ranks = ranks
+        self._rows = rows
+        self._by_rank = by_rank
+        self._bounds = bounds

@@ -151,6 +151,10 @@ class TestChainCacheTransparency:
 
 
 class TestCodeMapMemo:
+    """Repeat lookups on the code-map index that replaced the walk memo:
+    every call answers from the index afresh, so repeats cost — and
+    count — exactly what the first lookup did."""
+
     def index(self) -> CodeMapIndex:
         rec = lambda a, name: CodeMapRecord(  # noqa: E731
             address=a, size=0x10, tier="O1", name=name
@@ -161,43 +165,29 @@ class TestCodeMapMemo:
             3: CodeMap(3, [rec(0x3000, "m.three")]),
         })
 
-    def test_memo_short_circuits_repeat_walks(self):
-        idx = self.index()
-        first = idx.resolve(3, 0x1008)  # walks 3 -> 1 -> 0
-        steps = idx.fallback_steps
-        again = idx.resolve(3, 0x1008)
-        assert again == first and first[0].name == "m.zero"
-        assert idx.memo_hits == 1
-        assert idx.fallback_steps == steps  # no re-walk
-        assert idx.lookups == 2  # lookups still count every call
-
     def test_memo_results_match_fresh_index(self):
         warm = self.index()
-        for _ in range(2):  # second round is all memo hits
+        rounds = []
+        for _ in range(2):  # the second round repeats every lookup
+            steps = warm.fallback_steps
             for epoch in (0, 1, 2, 3, 9):
                 for addr in (0x1008, 0x2008, 0x3008, 0x9999):
                     fresh = self.index().resolve(epoch, addr)
                     assert warm.resolve(epoch, addr) == fresh
-
-    def test_negative_results_are_memoized(self):
-        idx = self.index()
-        assert idx.resolve(3, 0xDEAD) is None
-        assert idx.resolve(3, 0xDEAD) is None
-        assert idx.memo_hits == 1
-
-    def test_memo_is_bounded(self):
-        idx = self.index()
-        idx.MEMO_CAPACITY = 4  # shadow the class bound for the test
-        for addr in range(0x1000, 0x1000 + 16):
-            idx.resolve(3, addr)
-        assert len(idx._memo) <= 4
+            rounds.append(warm.fallback_steps - steps)
+        assert rounds[0] == rounds[1] > 0  # repeats walk as far again
+        assert warm.lookups == 2 * 5 * 4
+        assert warm.memo_hits == 0
 
     def test_ablation_keys_separately(self):
         idx = self.index()
-        assert idx.resolve(3, 0x1008, backward=True) is not None
-        # Same (top, addr) with backward=False is a different walk and
-        # must not hit the backward entry.
+        assert idx.resolve(3, 0x1008, backward=True)[1] == 0
+        # Without the backward walk only the sample's own map counts.
         assert idx.resolve(3, 0x1008, backward=False) is None
+        assert idx.resolve(1, 0x2008, backward=False)[1] == 1
+        assert idx.resolve(2, 0x2008, backward=False) is None  # no map 2
+        # Backward result is unaffected by the ablation lookups before it.
+        assert idx.resolve(3, 0x1008, backward=True)[1] == 0
 
 
 class TestReaderHandleHygiene:
