@@ -9,15 +9,18 @@ The subtle piece the CPU relies on is :meth:`HardwareCounter.events_to_overflow`
 given the event delta of an execution quantum, it reports how many events into
 that quantum the *first* overflow lands, so the CPU can split the quantum and
 compute a precise program-counter value for the interrupt — exactly the PC the
-real NMI handler would read from the exception frame.
+real NMI handler would read from the exception frame.  The CPU runs that test
+and :meth:`HardwareCounter.consume` inline on integers, over the bank's
+per-mode :attr:`CounterBank.live` lists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError, CounterError
-from repro.hardware.events import EventCounts, HardwareEvent
+from repro.hardware.events import FIELD_INDEX, EventCounts, HardwareEvent
 
 __all__ = ["CounterConfig", "HardwareCounter", "CounterBank"]
 
@@ -115,6 +118,13 @@ class CounterBank:
     The bank enforces the physical constraints the real driver enforces:
     a bounded number of counters and one counter per event (the P4 ESCR
     allocation constraint, simplified).
+
+    ``live[kernel_mode]`` is the list of ``(counter, field_index)`` pairs
+    that count in that mode, in programming order, where ``field_index``
+    is the counter's position in :meth:`EventCounts.as_tuple`.  Both lists
+    are rebuilt by :meth:`program` and :meth:`clear`, so a reader that
+    fetches them afresh (the CPU does, on every split) sees reprogramming
+    done by an NMI handler.
     """
 
     def __init__(self, num_counters: int = NUM_COUNTERS) -> None:
@@ -122,6 +132,9 @@ class CounterBank:
             raise ConfigError("counter bank needs at least one counter slot")
         self._slots = num_counters
         self._counters: list[HardwareCounter] = []
+        self.live: tuple[
+            list[tuple[HardwareCounter, int]], list[tuple[HardwareCounter, int]]
+        ] = ([], [])
 
     def program(self, config: CounterConfig) -> HardwareCounter:
         """Arm a counter.  Raises :class:`CounterError` when the bank is full
@@ -132,11 +145,25 @@ class CounterBank:
             raise CounterError(f"event {config.event.name} already has a counter")
         ctr = HardwareCounter(config=config)
         self._counters.append(ctr)
+        self._rebuild_live()
         return ctr
 
     def clear(self) -> None:
         """Disarm every counter (``opcontrol --deinit``)."""
         self._counters.clear()
+        self._rebuild_live()
+
+    def _rebuild_live(self) -> None:
+        # Fresh lists rather than in-place edits: a loop already iterating
+        # the old list finishes on the programming it started with.
+        self.live = tuple(
+            [
+                (c, FIELD_INDEX[c.event.counts_field])
+                for c in self._counters
+                if c.counts_in_mode(kernel_mode)
+            ]
+            for kernel_mode in (False, True)
+        )
 
     @property
     def counters(self) -> tuple[HardwareCounter, ...]:
@@ -145,26 +172,36 @@ class CounterBank:
     def __len__(self) -> int:
         return len(self._counters)
 
+    def advance(self, values: Sequence[int], kernel_mode: bool) -> int:
+        """Advance every counter live in the mode by its delta in ``values``
+        (an :meth:`EventCounts.as_tuple`-ordered sequence) without raising
+        interrupts; returns the number of overflows that passed silently."""
+        fired = 0
+        for ctr, fi in self.live[kernel_mode]:
+            delta = values[fi]
+            if delta:
+                fired += ctr.consume(delta)
+        return fired
+
     def first_overflow(
         self, counts: EventCounts, kernel_mode: bool
     ) -> tuple[HardwareCounter, int, int] | None:
         """Find the counter whose overflow lands earliest within ``counts``.
 
         Earliness is measured as a fraction of the quantum's cycles, assuming
-        every event accrues uniformly across the quantum.  Returns
-        ``(counter, events_into_quantum, cycles_into_quantum)`` for the
-        earliest overflow, or ``None`` if no armed counter overflows.
+        every event accrues uniformly across the quantum; ties go to the
+        counter programmed first.  Returns ``(counter, events_into_quantum,
+        cycles_into_quantum)`` for the earliest overflow, or ``None`` if no
+        armed counter overflows.  (The CPU runs the same selection inline on
+        plain integers.)
         """
         best: tuple[HardwareCounter, int, int] | None = None
-        cycles = counts.cycles
-        for ctr in self._counters:
-            if not ctr.counts_in_mode(kernel_mode):
-                continue
-            delta = counts.get(ctr.event.counts_field)
+        values = counts.as_tuple()
+        cycles = values[0]
+        for ctr, fi in self.live[kernel_mode]:
+            delta = values[fi]
             at = ctr.events_to_overflow(delta)
-            if at is None:
-                continue
-            if delta == 0:
+            if at is None or delta == 0:
                 continue
             # Cycle position of the overflow under uniform accrual.
             cyc_at = (at * cycles) // delta if cycles else 0
@@ -174,11 +211,5 @@ class CounterBank:
 
     def consume_all(self, counts: EventCounts, kernel_mode: bool) -> None:
         """Advance every armed counter by its event delta without raising
-        interrupts (used for the post-split remainder bookkeeping of counters
-        that did *not* fire, and while NMIs are masked)."""
-        for ctr in self._counters:
-            if not ctr.counts_in_mode(kernel_mode):
-                continue
-            delta = counts.get(ctr.event.counts_field)
-            if delta:
-                ctr.consume(delta)
+        interrupts (see :meth:`advance`)."""
+        self.advance(counts.as_tuple(), kernel_mode)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import HardwareError
+from repro.errors import CounterError, HardwareError
 from repro.hardware.counters import CounterBank
 from repro.hardware.events import EventCounts
 from repro.hardware.interrupts import CpuMode, InterruptFrame, NMILine
@@ -95,58 +95,122 @@ class CPU:
 
     def execute(self, quantum: Quantum) -> None:
         """Consume one quantum, raising NMIs at each counter overflow."""
-        self.stats.quanta += 1
-        kernel_mode = quantum.mode is CpuMode.KERNEL
-        total_cycles = quantum.counts.cycles
-        remaining = quantum.counts
-        done_cycles = 0
+        self.execute_raw(
+            quantum.pc_start, quantum.code_len, quantum.counts.as_tuple(),
+            quantum.mode,
+        )
+
+    def execute_raw(
+        self,
+        pc_start: int,
+        code_len: int,
+        counts: tuple[int, ...],
+        mode: CpuMode = CpuMode.USER,
+    ) -> None:
+        """:meth:`execute` on plain integers: ``counts`` holds the seven
+        event deltas in :meth:`EventCounts.as_tuple` order.
+
+        The quantum is split at each counter overflow.  For the counter
+        whose overflow lands earliest in cycle space (ties: first
+        programmed), the part before the overflow takes ``v * cyc_at //
+        cycles`` of every remaining delta ``v`` with the firing counter's
+        own field forced to its overflow distance (so rounding cannot
+        strand the overflow); the remainder is the difference clamped at
+        zero.  Every live counter consumes the part before — non-firing
+        ones may overflow silently there — the clock advances, and the NMI
+        is raised at the PC interpolated at that cycle.  The bank's live
+        list is fetched afresh on every pass, so an NMI handler that
+        reprograms the counters takes effect for the rest of the quantum.
+        """
+        if pc_start < 0:
+            raise HardwareError(f"negative pc_start {pc_start:#x}")
+        if code_len < 0:
+            raise HardwareError(f"negative code_len {code_len}")
+        c0, c1, c2, c3, c4, c5, c6 = counts
+        if (c0 | c1 | c2 | c3 | c4 | c5 | c6) < 0:
+            EventCounts(*counts)  # raises ConfigError naming the field
+        stats = self.stats
+        stats.quanta += 1
+        kernel_mode = mode is CpuMode.KERNEL
+        total = c0
+        rem = counts
+        done = 0
         splits = 0
 
         while True:
-            hit = self.counters.first_overflow(remaining, kernel_mode)
-            if hit is None:
-                self.counters.consume_all(remaining, kernel_mode)
-                self._advance_clock(remaining.cycles, kernel_mode)
+            live = self.counters.live[kernel_mode]
+            rc = rem[0]
+            fire = None
+            for ctr, fi in live:
+                delta = rem[fi]
+                r = ctr.remaining
+                if delta >= r and delta:
+                    cyc = (r * rc) // delta if rc else 0
+                    if fire is None or cyc < cyc_at:
+                        fire, fire_fi, at, cyc_at = ctr, fi, r, cyc
+            if fire is None:
+                part = rem
+            else:
+                splits += 1
+                stats.splits += 1
+                if splits > _MAX_SPLITS:
+                    raise HardwareError(
+                        f"quantum at pc={pc_start:#x} split more than "
+                        f"{_MAX_SPLITS} times; sampling period too small "
+                        f"for quantum size"
+                    )
+                if rc:
+                    part = [(v * cyc_at) // rc for v in rem]
+                else:
+                    part = [0] * len(rem)
+                part[fire_fi] = at
+                rem = [v - p if v > p else 0 for v, p in zip(rem, part)]
+
+            # Every live counter consumes the part; the firing counter
+            # reloads, any other overflow in it passes without an NMI.
+            for ctr, fi in live:
+                d = part[fi]
+                if d > 0:
+                    r = ctr.remaining
+                    if d < r:
+                        ctr.remaining = r - d
+                    else:
+                        period = ctr.config.period
+                        d -= r
+                        ctr.remaining = period - d % period
+                        ctr.overflows += 1 + d // period
+                elif d:
+                    raise CounterError(f"negative event delta {d}")
+            cyc = part[0]
+            self.cycle += cyc
+            if kernel_mode:
+                stats.kernel_cycles += cyc
+            else:
+                stats.user_cycles += cyc
+            if fire is None:
                 return
 
-            splits += 1
-            self.stats.splits += 1
-            if splits > _MAX_SPLITS:
-                raise HardwareError(
-                    f"quantum at pc={quantum.pc_start:#x} split more than "
-                    f"{_MAX_SPLITS} times; sampling period too small for "
-                    f"quantum size"
-                )
-            counter, at_events, cyc_at = hit
-
-            # Split the quantum at the overflow cycle.  Force the firing
-            # counter's field to exactly the overflow distance so rounding
-            # in the proportional scaling cannot strand the overflow.
-            if total_cycles > 0:
-                pre = remaining.scaled(cyc_at, remaining.cycles or 1)
+            done += cyc
+            if total <= 0 or code_len == 0:
+                pc = pc_start
             else:
-                pre = EventCounts()
-            setattr(pre, counter.event.counts_field, at_events)
-            post = remaining.minus(pre)
-
-            self.counters.consume_all(pre, kernel_mode)
-            self._advance_clock(pre.cycles, kernel_mode)
-            done_cycles += pre.cycles
-
-            pc = self._interpolate_pc(quantum, done_cycles, total_cycles)
-            frame = InterruptFrame(
-                pc=pc,
-                mode=quantum.mode,
-                event_name=counter.event.name,
-                task_id=self.current_task_id,
-                cycle=self.cycle,
+                off = (code_len * (done if done < total else total)) // total
+                off -= off % _PC_ALIGN
+                if off >= code_len:
+                    off = max(0, code_len - (code_len % _PC_ALIGN or _PC_ALIGN))
+                pc = pc_start + off
+            handler_cycles = self.nmi.raise_nmi(
+                InterruptFrame(
+                    pc=pc,
+                    mode=mode,
+                    event_name=fire.event.name,
+                    task_id=self.current_task_id,
+                    cycle=self.cycle,
+                )
             )
-            handler_cycles = self.nmi.raise_nmi(frame)
             if handler_cycles:
-                self.stats.nmi_count += 1
+                stats.nmi_count += 1
                 self._run_masked(handler_cycles)
-
-            remaining = post
 
     def idle(self, cycles: int) -> None:
         """Halt for ``cycles``: the clock advances but no events accrue
@@ -156,23 +220,6 @@ class CPU:
             raise HardwareError(f"negative idle time {cycles}")
         self.cycle += cycles
 
-    def _interpolate_pc(self, quantum: Quantum, done: int, total: int) -> int:
-        if total <= 0 or quantum.code_len == 0:
-            return quantum.pc_start
-        off = (quantum.code_len * min(done, total)) // total
-        off -= off % _PC_ALIGN
-        if off >= quantum.code_len:
-            off = quantum.code_len - (quantum.code_len % _PC_ALIGN or _PC_ALIGN)
-            off = max(0, off)
-        return quantum.pc_start + off
-
-    def _advance_clock(self, cycles: int, kernel_mode: bool) -> None:
-        self.cycle += cycles
-        if kernel_mode:
-            self.stats.kernel_cycles += cycles
-        else:
-            self.stats.user_cycles += cycles
-
     def _run_masked(self, handler_cycles: int) -> None:
         """Charge NMI-handler cycles with further NMIs masked.
 
@@ -181,13 +228,9 @@ class CPU:
         we model the P4 behaviour of the overflow being latched-and-lost),
         so overflows inside the handler reload silently.
         """
-        counts = EventCounts(cycles=handler_cycles, instructions=handler_cycles // 2)
-        for ctr in self.counters.counters:
-            if not ctr.counts_in_mode(kernel_mode=True):
-                continue
-            delta = counts.get(ctr.event.counts_field)
-            if delta:
-                self.stats.masked_overflows += ctr.consume(delta)
+        self.stats.masked_overflows += self.counters.advance(
+            (handler_cycles, handler_cycles // 2, 0, 0, 0, 0, 0), True
+        )
         self.cycle += handler_cycles
         self.stats.kernel_cycles += handler_cycles
         self.stats.nmi_handler_cycles += handler_cycles

@@ -21,6 +21,7 @@ from repro.errors import ConfigError
 __all__ = [
     "HardwareEvent",
     "EventCounts",
+    "FIELD_INDEX",
     "EVENTS",
     "event_by_name",
     "GLOBAL_POWER_EVENTS",
@@ -66,9 +67,10 @@ class HardwareEvent:
 class EventCounts:
     """Event deltas accumulated over one execution quantum.
 
-    The engine fills one of these per quantum; the counter bank drains it.
-    ``cycles`` is always positive for a non-empty quantum; the other fields
-    may be zero.
+    The record form of a quantum's deltas, used by ``Quantum`` and the
+    counter-bank adapters; the engines' hot path passes the same seven
+    values as a plain tuple (:meth:`as_tuple`).  ``cycles`` is always
+    positive for a non-empty quantum; the other fields may be zero.
     """
 
     cycles: int = 0
@@ -80,14 +82,29 @@ class EventCounts:
     itlb_misses: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v < 0:
-                raise ConfigError(f"negative event count {f.name}={v}")
+        # Bitwise OR of ints is negative iff one operand is: one test for
+        # the common all-valid case, the field loop only to name the culprit.
+        if (
+            self.cycles | self.instructions | self.l2_references
+            | self.l2_misses | self.branches | self.branch_mispredicts
+            | self.itlb_misses
+        ) < 0:
+            for f in fields(self):
+                v = getattr(self, f.name)
+                if v < 0:
+                    raise ConfigError(f"negative event count {f.name}={v}")
 
     def get(self, field_name: str) -> int:
         """Return the delta for ``field_name`` (an :class:`EventCounts` field)."""
         return getattr(self, field_name)
+
+    def as_tuple(self) -> tuple[int, int, int, int, int, int, int]:
+        """The seven deltas in field declaration order (see
+        :data:`FIELD_INDEX`) — the form the CPU's split loop works on."""
+        return (
+            self.cycles, self.instructions, self.l2_references, self.l2_misses,
+            self.branches, self.branch_mispredicts, self.itlb_misses,
+        )
 
     def __add__(self, other: "EventCounts") -> "EventCounts":
         return EventCounts(
@@ -110,38 +127,10 @@ class EventCounts:
         self.itlb_misses += other.itlb_misses
         return self
 
-    def scaled(self, numer: int, denom: int) -> "EventCounts":
-        """Return counts scaled by ``numer/denom`` (floor), used when a
-        quantum is split at a counter-overflow boundary."""
-        if denom <= 0:
-            raise ConfigError("scale denominator must be positive")
 
-        def s(v: int) -> int:
-            return (v * numer) // denom
-
-        return EventCounts(
-            cycles=s(self.cycles),
-            instructions=s(self.instructions),
-            l2_references=s(self.l2_references),
-            l2_misses=s(self.l2_misses),
-            branches=s(self.branches),
-            branch_mispredicts=s(self.branch_mispredicts),
-            itlb_misses=s(self.itlb_misses),
-        )
-
-    def minus(self, other: "EventCounts") -> "EventCounts":
-        """Component-wise difference clamped at zero (split remainder)."""
-        return EventCounts(
-            cycles=max(0, self.cycles - other.cycles),
-            instructions=max(0, self.instructions - other.instructions),
-            l2_references=max(0, self.l2_references - other.l2_references),
-            l2_misses=max(0, self.l2_misses - other.l2_misses),
-            branches=max(0, self.branches - other.branches),
-            branch_mispredicts=max(
-                0, self.branch_mispredicts - other.branch_mispredicts
-            ),
-            itlb_misses=max(0, self.itlb_misses - other.itlb_misses),
-        )
+#: :class:`EventCounts` field name → its position in
+#: :meth:`EventCounts.as_tuple` (declaration order).
+FIELD_INDEX: dict[str, int] = {f.name: i for i, f in enumerate(fields(EventCounts))}
 
 
 GLOBAL_POWER_EVENTS = HardwareEvent(

@@ -34,8 +34,7 @@ from random import Random
 
 from repro.errors import ConfigError
 from repro.hardware.cache import CacheGeometry, SetAssociativeCache, StatisticalCacheModel
-from repro.hardware.cpu import CPU, CpuMode, Quantum
-from repro.hardware.events import EventCounts
+from repro.hardware.cpu import CPU, CpuMode
 from repro.hardware.memory import WorkingSet
 from repro.jvm.bootimage import BootImage, build_boot_image
 from repro.jvm.heap import Heap
@@ -591,22 +590,18 @@ class SystemEngine:
         accesses: int,
         misses: int,
         itlb_misses: int = 0,
-    ) -> EventCounts:
-        return EventCounts(
-            cycles=cycles,
-            instructions=instructions,
-            l2_references=accesses,
-            l2_misses=misses,
-            branches=instructions // 6,
-            branch_mispredicts=instructions // 120,
-            itlb_misses=itlb_misses,
+    ) -> tuple[int, int, int, int, int, int, int]:
+        """Event deltas in :meth:`EventCounts.as_tuple` order."""
+        return (
+            cycles, instructions, accesses, misses,
+            instructions // 6, instructions // 120, itlb_misses,
         )
 
     def _execute(
         self,
         pc: int,
         code_len: int,
-        counts: EventCounts,
+        counts: tuple[int, int, int, int, int, int, int],
         mode: CpuMode,
         task_id: int,
         truth: TruthLabel,
@@ -617,10 +612,8 @@ class SystemEngine:
         prev_captured = (
             self.kmodule.buffer.total_captured if self.kmodule is not None else 0
         )
-        self.cpu.execute(
-            Quantum(pc_start=pc, code_len=code_len, counts=counts, mode=mode)
-        )
-        self.ledger.record(truth, counts.cycles, counts.l2_misses)
+        self.cpu.execute_raw(pc, code_len, counts, mode)
+        self.ledger.record(truth, counts[0], counts[3])
         nmi_delta = self.cpu.stats.nmi_handler_cycles - prev_nmi
         if nmi_delta:
             self.ledger.record(self._nmi_truth, nmi_delta, 0)

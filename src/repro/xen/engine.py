@@ -22,8 +22,7 @@ from pathlib import Path
 from repro.errors import ConfigError, InjectedFault
 from repro.faults import injector as faults
 from repro.hardware.cache import CacheGeometry, StatisticalCacheModel
-from repro.hardware.cpu import CPU, CpuMode, Quantum
-from repro.hardware.events import EventCounts
+from repro.hardware.cpu import CPU, CpuMode
 from repro.hardware.interrupts import InterruptFrame
 from repro.jvm.bootimage import BootImage, build_boot_image
 from repro.jvm.heap import Heap
@@ -286,10 +285,8 @@ class MultiStackEngine:
     def _exec_xen(self, symbol: str, cycles: int) -> None:
         pc = self.hypervisor.xen_pc(symbol)
         sym = self.hypervisor.image.find_symbol(symbol)
-        counts = EventCounts(cycles=cycles, instructions=cycles // 2)
-        self.cpu.execute(
-            Quantum(pc_start=pc, code_len=sym.size, counts=counts,
-                    mode=CpuMode.KERNEL)
+        self.cpu.execute_raw(
+            pc, sym.size, (cycles, cycles // 2, 0, 0, 0, 0, 0), CpuMode.KERNEL
         )
 
     def _tear_newest_map_effect(self, guest: _Guest):
@@ -333,16 +330,11 @@ class MultiStackEngine:
         misses = 0
         if step.working_set is not None and step.accesses > 0:
             misses = guest.cache.misses_for(step.working_set, step.accesses)
-        counts = EventCounts(
-            cycles=step.cycles,
-            instructions=step.instructions,
-            l2_references=step.accesses,
-            l2_misses=misses,
-            branches=step.instructions // 6,
-        )
         self.cpu.current_task_id = guest.vm_pid
-        self.cpu.execute(
-            Quantum(pc_start=step.pc, code_len=step.code_len, counts=counts)
+        self.cpu.execute_raw(
+            step.pc, step.code_len,
+            (step.cycles, step.instructions, step.accesses, misses,
+             step.instructions // 6, 0, 0),
         )
         guest.ledger.record(step.truth, step.cycles, misses)
         if step.kind is not StepKind.AGENT:

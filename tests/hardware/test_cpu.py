@@ -1,10 +1,12 @@
 """Unit tests for the CPU quantum executor: overflow splitting, PC
 interpolation, NMI masking, and idle semantics."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import HardwareError
+from repro.errors import ConfigError, HardwareError
 from repro.hardware.counters import CounterBank, CounterConfig
 from repro.hardware.cpu import CPU, Quantum
 from repro.hardware.events import (
@@ -148,6 +150,36 @@ class TestQuantumValidation:
     def test_negative_code_len_rejected(self):
         with pytest.raises(HardwareError):
             Quantum(pc_start=0, code_len=-4, counts=EventCounts())
+
+    def test_raw_entry_rejects_negative_pc(self):
+        cpu = make_cpu()
+        with pytest.raises(HardwareError, match="negative pc_start"):
+            cpu.execute_raw(-1, 4, (100, 0, 0, 0, 0, 0, 0))
+        assert cpu.stats.quanta == 0
+
+    def test_raw_entry_rejects_negative_code_len(self):
+        cpu = make_cpu()
+        with pytest.raises(HardwareError, match="negative code_len"):
+            cpu.execute_raw(0, -4, (100, 0, 0, 0, 0, 0, 0))
+        assert cpu.stats.quanta == 0
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_raw_entry_rejects_negative_count_by_name(self, index):
+        cpu = make_cpu()
+        counts = [100] * 7
+        counts[index] = -1
+        name = dataclasses.fields(EventCounts)[index].name
+        with pytest.raises(ConfigError, match=rf"negative event count {name}=-1"):
+            cpu.execute_raw(0, 4, tuple(counts))
+        assert cpu.stats.quanta == 0 and cpu.cycle == 0
+
+    def test_split_limit_still_enforced(self, monkeypatch):
+        import repro.hardware.cpu as cpu_mod
+
+        monkeypatch.setattr(cpu_mod, "_MAX_SPLITS", 2)
+        cpu = make_cpu(period=3_000)
+        with pytest.raises(HardwareError, match="split more than 2 times"):
+            cpu.execute_raw(0x1000, 0x100, (9_001, 0, 0, 0, 0, 0, 0))
 
 
 class TestSamplingRateProperty:

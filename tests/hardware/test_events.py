@@ -1,10 +1,13 @@
 """Unit tests for hardware event definitions and EventCounts arithmetic."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.hardware.events import (
     EVENTS,
+    FIELD_INDEX,
     BSQ_CACHE_REFERENCE,
     GLOBAL_POWER_EVENTS,
     EventCounts,
@@ -70,29 +73,18 @@ class TestEventCounts:
         c = EventCounts(l2_references=42)
         assert c.get("l2_references") == 42
 
-    def test_scaled_floor_division(self):
-        c = EventCounts(cycles=10, instructions=7)
-        half = c.scaled(1, 2)
-        assert half.cycles == 5 and half.instructions == 3
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(EventCounts)]
+    )
+    def test_negative_field_rejected_by_name(self, name):
+        """The OR fast path in ``__post_init__`` must still catch a
+        negative value in every field and name that field."""
+        with pytest.raises(ConfigError, match=rf"negative event count {name}=-3"):
+            EventCounts(**{name: -3})
 
-    def test_scaled_zero_denominator_rejected(self):
-        with pytest.raises(ConfigError):
-            EventCounts(cycles=1).scaled(1, 0)
-
-    def test_minus_clamps_at_zero(self):
-        a = EventCounts(cycles=5)
-        b = EventCounts(cycles=9, branches=1)
-        d = a.minus(b)
-        assert d.cycles == 0 and d.branches == 0
-
-    def test_scaled_plus_remainder_conserves_totals(self):
-        c = EventCounts(
-            cycles=997, instructions=613, l2_references=101, l2_misses=13,
-            branches=77, branch_mispredicts=3, itlb_misses=2,
-        )
-        pre = c.scaled(311, 997)
-        post = c.minus(pre)
-        total = pre + post
-        assert total.cycles == c.cycles
-        assert total.instructions == c.instructions
-        assert total.l2_misses == c.l2_misses
+    def test_as_tuple_follows_field_order(self):
+        c = EventCounts(*range(1, 8))
+        assert c.as_tuple() == tuple(range(1, 8))
+        names = [f.name for f in dataclasses.fields(EventCounts)]
+        assert list(FIELD_INDEX) == names
+        assert all(c.as_tuple()[FIELD_INDEX[n]] == c.get(n) for n in names)
